@@ -107,8 +107,8 @@ void BM_PoolRefine(benchmark::State& state) {
     for (size_t b = 0; b < pool_size; ++b) {
       Bundle* bundle = pool.Create();
       const Message& msg = messages[b % messages.size()];
-      bundle->AddMessage(msg, kInvalidMessageId, ConnectionType::kText,
-                         0);
+      pool.AddMessage(bundle, msg, kInvalidMessageId, ConnectionType::kText,
+                      0);
       index.AddMessage(bundle->id(), msg, 6);
       latest = std::max(latest, msg.date);
     }

@@ -117,16 +117,39 @@ std::vector<Edge> Bundle::Edges() const {
 
 std::vector<std::pair<std::string, uint32_t>> Bundle::TopKeywords(
     size_t k) const {
-  std::vector<std::pair<std::string, uint32_t>> all =
-      ResolvedCounts(IndicantType::kKeyword);
-  size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;
-                    });
-  all.resize(take);
-  return all;
+  if (k == 0) return {};
+  // A k-bounded heap over the id-keyed summary: only the k winning
+  // surface forms are copied, and a term whose count is below the
+  // heap's worst is skipped without touching its string. `better` is
+  // the heap's operator<, so the front is the worst retained entry.
+  struct Entry {
+    const std::string* word;
+    uint32_t count;
+  };
+  const auto better = [](const Entry& a, const Entry& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return *a.word < *b.word;
+  };
+  const TermCounts& counts = id_counts(IndicantType::kKeyword);
+  std::vector<Entry> heap;
+  heap.reserve(std::min(k, counts.size()));
+  for (const auto& [term, count] : counts) {
+    if (heap.size() == k && count < heap.front().count) continue;
+    const Entry entry{&dict_->Resolve(IndicantType::kKeyword, term), count};
+    if (heap.size() < k) {
+      heap.push_back(entry);
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else if (better(entry, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), better);
+      heap.back() = entry;
+      std::push_heap(heap.begin(), heap.end(), better);
+    }
+  }
+  std::sort_heap(heap.begin(), heap.end(), better);
+  std::vector<std::pair<std::string, uint32_t>> out;
+  out.reserve(heap.size());
+  for (const Entry& entry : heap) out.emplace_back(*entry.word, entry.count);
+  return out;
 }
 
 }  // namespace microprov

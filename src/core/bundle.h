@@ -114,8 +114,9 @@ class Bundle {
   /// Id-space twin (term in this bundle's dictionary).
   const BundleMessage* LatestByUserId(TermId user) const;
 
-  /// Most frequent keywords, ties broken lexicographically — the "summary
-  /// words" column of the paper's Fig. 2 result list.
+  /// The k most frequent keywords, ties broken lexicographically — the
+  /// "summary words" column of the paper's Fig. 2 result list. Selected
+  /// on term ids; only the k winners are resolved to strings.
   std::vector<std::pair<std::string, uint32_t>> TopKeywords(
       size_t k) const;
 

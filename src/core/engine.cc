@@ -223,9 +223,6 @@ StatusOr<IngestResult> ProvenanceEngine::Ingest(const Message& msg) {
   // Alg. 1 step 3 input: the index consumes the staged message before
   // placement moves it into the bundle. Same index state as updating
   // after insertion — AddMessage only needs the bundle id.
-  // The receiving bundle's footprint before AddMessage; the growth is
-  // fed to the pool so its byte ceiling tracks without O(pool) rescans.
-  size_t bundle_bytes_before = 0;
   if (bundle == nullptr) {
     // Stage 2: bundle creation.
     bundle = pool_.Create();
@@ -233,9 +230,8 @@ StatusOr<IngestResult> ProvenanceEngine::Ingest(const Message& msg) {
     local.created_bundle = true;
     index_.AddMessage(bundle->id(), staged_,
                       Bundle::kSummaryKeywordsPerMessage);
-    bundle_bytes_before = bundle->ApproxMemoryUsage();
-    bundle->AddMessage(std::move(staged_), kInvalidMessageId,
-                       ConnectionType::kText, 0.0f);
+    pool_.AddMessage(bundle, std::move(staged_), kInvalidMessageId,
+                     ConnectionType::kText, 0.0f);
   } else {
     // Stage 2: message placement (Alg. 2).
     Placement placement =
@@ -245,16 +241,13 @@ StatusOr<IngestResult> ProvenanceEngine::Ingest(const Message& msg) {
     local.connection = placement.type;
     index_.AddMessage(bundle->id(), staged_,
                       Bundle::kSummaryKeywordsPerMessage);
-    bundle_bytes_before = bundle->ApproxMemoryUsage();
-    bundle->AddMessage(std::move(staged_), placement.parent,
-                       placement.type,
-                       static_cast<float>(placement.score));
+    pool_.AddMessage(bundle, std::move(staged_), placement.parent,
+                     placement.type, static_cast<float>(placement.score));
     if (options_.record_edges) {
       edge_log_.Record(Edge{placement.parent, msg.id, placement.type,
                             static_cast<float>(placement.score)});
     }
   }
-  pool_.NoteMessageAdded(bundle->ApproxMemoryUsage() - bundle_bytes_before);
   dirty_bundles_.insert(local.bundle);
 
   // Bundle-size constraint (Section V-B): cap reached -> closed.

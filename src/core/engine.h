@@ -196,9 +196,9 @@ class ProvenanceEngine {
   size_t ApproxMemoryUsage() const;
 
   /// Re-publishes the `microprov_engine_memory_bytes` gauge from
-  /// ApproxMemoryUsage(). O(pool size), so it is not run per message;
-  /// the engine calls it after each refinement pass and at Drain, and
-  /// owners may call it at their own flush points.
+  /// ApproxMemoryUsage(). O(1) — the pool and the dictionary keep
+  /// running totals. The engine calls it after each refinement pass and
+  /// at Drain, and owners may call it at their own flush points.
   void RefreshMemoryMetrics();
 
  private:

@@ -62,6 +62,14 @@ class IndicantDictionary {
   /// dictionary; re-stamps from scratch when stamped by another.
   void InternMessage(Message* msg);
 
+  /// Sum of Vocabulary::term_bytes() over the id spaces. O(1).
+  size_t TermBytes() const {
+    size_t total = 0;
+    for (const Vocabulary& vocab : vocabs_) total += vocab.term_bytes();
+    return total;
+  }
+
+  /// O(1): running term totals plus the lookup tables.
   size_t ApproxMemoryUsage() const;
 
   /// Registers `microprov_dictionary_terms` (per-shard gauge) and the

@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/memory_usage.h"
 #include "core/scoring.h"
 
 namespace microprov {
@@ -62,6 +61,17 @@ void BundlePool::BindMetrics(obs::MetricsRegistry* registry,
   }
 }
 
+void BundlePool::AddMessage(Bundle* bundle, Message msg, MessageId parent,
+                            ConnectionType type, float score) {
+  const size_t bytes_before = bundle->ApproxMemoryUsage();
+  bundle->AddMessage(std::move(msg), parent, type, score);
+  approx_bytes_ += bundle->ApproxMemoryUsage() - bytes_before;
+  ++total_messages_;
+  if (messages_gauge_ != nullptr) {
+    messages_gauge_->Set(static_cast<int64_t>(total_messages_));
+  }
+}
+
 Bundle* BundlePool::Get(BundleId id) {
   auto it = bundles_.find(id);
   return it == bundles_.end() ? nullptr : it->second.get();
@@ -79,8 +89,7 @@ Status BundlePool::Discard(Bundle* bundle, SummaryIndex* index,
     MICROPROV_RETURN_IF_ERROR(archive->Put(*bundle));
   }
   total_messages_ -= bundle->size();
-  const size_t bundle_bytes = bundle->ApproxMemoryUsage();
-  approx_bytes_ -= std::min(approx_bytes_, bundle_bytes);
+  approx_bytes_ -= bundle->ApproxMemoryUsage();
   if (removal_listener_) removal_listener_(bundle->id());
   bundles_.erase(bundle->id());
   SetSizeGauge();
@@ -180,14 +189,6 @@ Status BundlePool::Drain(SummaryIndex* index, BundleArchive* archive) {
         Discard(bundle, index, archive, /*archive_it=*/true));
   }
   return Status::OK();
-}
-
-size_t BundlePool::ApproxMemoryUsage() const {
-  size_t total = sizeof(BundlePool) + ApproxMapOverhead(bundles_);
-  for (const auto& [id, bundle] : bundles_) {
-    total += bundle->ApproxMemoryUsage();
-  }
-  return total;
 }
 
 }  // namespace microprov

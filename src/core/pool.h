@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/clock.h"
+#include "common/memory_usage.h"
 #include "common/status.h"
 #include "core/bundle.h"
 #include "core/summary_index.h"
@@ -145,20 +146,16 @@ class BundlePool {
 
   /// Total messages held in memory (Fig. 11(b)).
   uint64_t TotalMessages() const { return total_messages_; }
-  /// `byte_delta` is how much the receiving bundle's ApproxMemoryUsage
-  /// grew — the engine reads it before/after Bundle::AddMessage (O(1),
-  /// bundles track their footprint incrementally) so the pool's byte
-  /// ceiling stays current without O(pool) rescans.
-  void NoteMessageAdded(size_t byte_delta = 0) {
-    ++total_messages_;
-    approx_bytes_ += byte_delta;
-    if (messages_gauge_ != nullptr) {
-      messages_gauge_->Set(static_cast<int64_t>(total_messages_));
-    }
-  }
 
-  /// Incrementally tracked bundle bytes (the quantity max_pool_bytes
-  /// bounds). O(1); drifts only by the estimator's own approximation.
+  /// Appends `msg` to the pool bundle `bundle` (Bundle::AddMessage) and
+  /// folds the bundle's growth into TotalMessages() and approx_bytes(),
+  /// so the byte ceiling and memory gauges stay exact without O(pool)
+  /// rescans. Every message added to a pool bundle goes through here.
+  void AddMessage(Bundle* bundle, Message msg, MessageId parent,
+                  ConnectionType type, float score);
+
+  /// Sum of ApproxMemoryUsage() over the pool's bundles (the quantity
+  /// max_pool_bytes bounds), maintained incrementally. O(1).
   size_t approx_bytes() const { return approx_bytes_; }
 
   /// Invoked with the bundle id each time a bundle leaves the pool
@@ -176,7 +173,10 @@ class BundlePool {
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& shard_label);
 
-  size_t ApproxMemoryUsage() const;
+  /// The pool's footprint: its own table plus approx_bytes(). O(1).
+  size_t ApproxMemoryUsage() const {
+    return sizeof(BundlePool) + ApproxMapOverhead(bundles_) + approx_bytes_;
+  }
 
  private:
   Status Discard(Bundle* bundle, SummaryIndex* index,

@@ -123,8 +123,30 @@ std::vector<BundleSearchResult> BundleQueryProcessor::Search(
   obs::Span parse_span(recorder, "parse", parent_span, shard);
   ParsedQuery parsed = ParseQuery(query.text);
   parse_span.End();
-  return SearchParsed(parsed, query, recorder, parent_span, shard,
-                      shard_trace);
+  std::vector<BundleSearchResult> results = SearchParsed(
+      parsed, query, recorder, parent_span, shard, shard_trace);
+  obs::Span mat_span(recorder, "materialize", parent_span, shard);
+  for (BundleSearchResult& hit : results) Materialize(&hit);
+  return results;
+}
+
+void BundleQueryProcessor::Materialize(BundleSearchResult* hit) const {
+  std::shared_ptr<const Bundle> decoded;
+  const Bundle* bundle = nullptr;
+  if (hit->archived) {
+    auto bundle_or = archive_->Get(hit->bundle);
+    if (!bundle_or.ok()) return;
+    decoded = std::move(*bundle_or);
+    bundle = decoded.get();
+  } else {
+    bundle = engine_->pool().Get(hit->bundle);
+    if (bundle == nullptr) return;
+  }
+  hit->size = bundle->size();
+  hit->last_post = bundle->end_time();
+  for (auto& [word, count] : bundle->TopKeywords(kSummaryWords)) {
+    hit->summary_words.push_back(std::move(word));
+  }
 }
 
 std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
@@ -195,10 +217,10 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
   }
   candidates_span.End();
 
-  // Score into a k-bounded heap of bare {id, score} records; summary
-  // words are materialized for the k winners only, below. With pruning
-  // on and the heap full, a candidate whose upper bound cannot beat the
-  // kth score is dropped before its summaries are touched.
+  // Score into a k-bounded heap of bare {id, score} records; the caller
+  // materializes the hits it keeps. With pruning on and the heap full, a
+  // candidate whose upper bound cannot beat the kth score is dropped
+  // before its summaries are touched.
   obs::Span score_span(recorder, "score", parent_span, shard);
   std::vector<BundleSearchResult>& heap = scratch.heap;
   heap.clear();
@@ -234,22 +256,29 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
   });
   score_span.End();
 
-  // Archived candidates via the store's term index. Archived bundles
-  // decode with private dictionaries, so they score through the string
-  // path; the plan's archived bound (every term assumed to hit) lets a
-  // full heap skip the decode entirely.
+  // Archived candidates via the store's term index, with the live
+  // path's type mapping: a keyword reaches keyword entries and its stem
+  // and raw forms as tags; a #tag reaches tag entries only. Archived
+  // bundles decode with private dictionaries, so they score through the
+  // string path; the plan's archived bound (every term assumed to hit)
+  // lets a full heap skip the decode entirely.
   obs::Span archive_span(recorder, "archive", parent_span, shard);
   if (archive_ != nullptr && filters.include_archived) {
     std::vector<BundleId>& archived_ids = scratch.archived_ids;
     archived_ids.clear();
-    auto collect = [&](const std::string& term) {
-      for (BundleId id : archive_->FindByTerm(term)) {
+    auto collect = [&](IndicantType type, const std::string& term) {
+      for (BundleId id : archive_->FindByTerm(type, term)) {
         if (!acc.Contains(id)) archived_ids.push_back(id);
       }
     };
-    for (const std::string& term : parsed.keywords) collect(term);
-    for (const std::string& word : parsed.raw_words) collect(word);
-    for (const std::string& tag : parsed.hashtags) collect(tag);
+    for (size_t i = 0; i < parsed.keywords.size(); ++i) {
+      collect(IndicantType::kKeyword, parsed.keywords[i]);
+      collect(IndicantType::kHashtag, parsed.keywords[i]);
+      collect(IndicantType::kHashtag, parsed.raw_words[i]);
+    }
+    for (const std::string& tag : parsed.hashtags) {
+      collect(IndicantType::kHashtag, tag);
+    }
     // Ascending-id order makes which ids fall under the decode cap
     // deterministic (the unordered_set this replaces was not).
     std::sort(archived_ids.begin(), archived_ids.end());
@@ -298,27 +327,6 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
   std::sort(results.begin(), results.end(), BundleResultOrder{});
   heap.clear();
   rank_span.End();
-
-  // Deferred materialization: summary words, sizes, and timestamps for
-  // the k winners only.
-  obs::Span mat_span(recorder, "materialize", parent_span, shard);
-  auto materialize = [](const Bundle& bundle, BundleSearchResult* hit) {
-    hit->size = bundle.size();
-    hit->last_post = bundle.end_time();
-    for (auto& [word, count] : bundle.TopKeywords(10)) {
-      hit->summary_words.push_back(word);
-    }
-  };
-  for (BundleSearchResult& hit : results) {
-    if (hit.archived) {
-      auto bundle_or = archive_->Get(hit.bundle);
-      if (bundle_or.ok()) materialize(**bundle_or, &hit);
-    } else {
-      const Bundle* bundle = pool.Get(hit.bundle);
-      if (bundle != nullptr) materialize(*bundle, &hit);
-    }
-  }
-  mat_span.End();
   if (shard_trace != nullptr) shard_trace->results = results.size();
   return results;
 }
@@ -395,6 +403,12 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchShards(
                     BundleResultOrder{});
   merged.resize(take);
   merge_span.End();
+
+  // Only the k hits that survive the merge are materialized, each by the
+  // shard that owns its bundle.
+  obs::Span mat_span(recorder, "materialize", parent_span);
+  for (BundleSearchResult& hit : merged) shards[hit.shard]->Materialize(&hit);
+  mat_span.End();
   if (event != nullptr) {
     event->result_count = merged.size();
   }

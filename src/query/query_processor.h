@@ -133,10 +133,11 @@ struct BundleQuery {
 ///
 /// Evaluation is id-native: a QueryPlan resolves the query's terms into
 /// the shard dictionary once, candidates stream through an epoch-stamped
-/// accumulator into a k-bounded heap, and only the k winners are
-/// materialized (summary words, sizes). Search is const and thread-safe
-/// against other Search calls (scratch is thread-local); callers must
-/// still serialize Search against engine mutation, as before.
+/// accumulator into a k-bounded heap, and only the k hits returned are
+/// materialized (summary words, sizes) — after the cross-shard merge for
+/// a fan-out. Search is const and thread-safe against other Search calls
+/// (scratch is thread-local); callers must still serialize Search
+/// against engine mutation, as before.
 class BundleQueryProcessor {
  public:
   /// `metrics`, when set, receives query latency / candidate-count
@@ -180,8 +181,9 @@ class BundleQueryProcessor {
   }
 
   /// Traced fan-out: opens one "shard_search" span per consulted shard
-  /// plus a "merge" span under `parent_span`, and fills `event` (when
-  /// set) with the resolved IDF total and per-shard contributions.
+  /// plus "merge" and "materialize" spans under `parent_span`, and fills
+  /// `event` (when set) with the resolved IDF total and per-shard
+  /// contributions.
   /// With `pool` set, per-shard searches run concurrently on the pool's
   /// workers (plus the calling thread); results are identical to the
   /// serial order — per-shard output is deterministic and the merge
@@ -194,17 +196,24 @@ class BundleQueryProcessor {
 
   /// Cap on archived bundles decoded per query (point reads from disk).
   static constexpr size_t kMaxArchivedCandidates = 64;
+  /// Summary words shown per hit (Fig. 2's result list).
+  static constexpr size_t kSummaryWords = 10;
 
  private:
   void BindMetrics(obs::MetricsRegistry* registry);
 
   /// The post-parse pipeline, shared by Search (which parses) and
   /// SearchShards (which parses once and fans the ParsedQuery out to
-  /// every shard).
+  /// every shard). Returns bare {bundle, score, archived} hits, ranked;
+  /// the caller materializes the ones it keeps.
   std::vector<BundleSearchResult> SearchParsed(
       const ParsedQuery& parsed, const BundleQuery& query,
       obs::SpanRecorder* recorder, uint32_t parent_span, uint32_t shard,
       obs::QueryShardTrace* shard_trace) const;
+
+  /// Fills `hit`'s size, last_post and summary_words from the live pool
+  /// or the archive, whichever holds its bundle.
+  void Materialize(BundleSearchResult* hit) const;
 
   const ProvenanceEngine* engine_;
   QueryWeights weights_;

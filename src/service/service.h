@@ -106,8 +106,8 @@ struct ServiceOptions {
 /// Aggregate service statistics. Safe to read at any time, including
 /// while shard workers run: every field is backed by atomics or
 /// mutex-guarded queue state, never by direct engine reads.
-/// `memory_bytes` is refreshed at refinement/Flush/Drain checkpoints
-/// (computing it is O(pool)), so it may trail the live value.
+/// `memory_bytes` is refreshed at refinement/Flush/Drain checkpoints,
+/// so it may trail the live value.
 struct ServiceStats {
   uint64_t messages_ingested = 0;
   size_t live_bundles = 0;

@@ -135,7 +135,7 @@ Status ShardedEngine::Flush() {
     if (!shard->error.ok()) return shard->error;
   }
   // The barrier makes shard engines readable from this thread; use the
-  // checkpoint to republish the O(pool)-cost memory gauges.
+  // checkpoint to republish the (O(1)) memory gauges.
   for (auto& shard : shards_) {
     shard->engine.RefreshMemoryMetrics();
     if (shard->depth_gauge != nullptr) {

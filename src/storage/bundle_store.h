@@ -60,8 +60,13 @@ class BundleStore final : public BundleArchive {
   /// All stored bundle ids (unordered).
   std::vector<BundleId> ListBundleIds() const;
 
-  /// Archived bundles whose hashtags or top keywords contain `term`
-  /// (deduplicated). Empty when the term index is disabled.
+  /// Archived bundles (ascending, deduplicated) whose summary for `type`
+  /// holds `term`: hashtags for kHashtag, the top keywords for kKeyword.
+  /// Other types and a disabled term index give nothing.
+  std::vector<BundleId> FindByTerm(IndicantType type,
+                                   const std::string& term) const;
+
+  /// Archived bundles holding `term` as a hashtag or as a top keyword.
   std::vector<BundleId> FindByTerm(const std::string& term) const;
 
   /// Visits every stored bundle (decoded); stops on callback error.
@@ -113,7 +118,11 @@ class BundleStore final : public BundleArchive {
   std::vector<uint32_t> file_numbers_;
   BundleId max_bundle_id_ = 0;
   LruCache<BundleId, std::shared_ptr<const Bundle>> cache_;
-  std::unordered_map<std::string, std::vector<BundleId>> term_index_;
+  // Term index, one table per indicant type so a hashtag and a keyword
+  // with the same surface form stay apart. Only kHashtag and kKeyword
+  // are filled.
+  std::unordered_map<std::string, std::vector<BundleId>>
+      term_index_[kNumIndicantTypes];
   uint64_t puts_ = 0;
   uint64_t compactions_ = 0;
 

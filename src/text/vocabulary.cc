@@ -13,17 +13,15 @@ TermId Vocabulary::GetOrAdd(std::string_view term, bool* added) {
   TermId id = static_cast<TermId>(terms_.size());
   terms_.emplace_back(term);
   ids_.emplace(terms_.back(), id);
+  // Interned strings never change, so their footprint is final here.
+  term_bytes_ +=
+      sizeof(std::string) + ::microprov::ApproxMemoryUsage(terms_.back());
   *added = true;
   return id;
 }
 
 size_t Vocabulary::ApproxMemoryUsage() const {
-  size_t total = ApproxMapOverhead(ids_);
-  for (const std::string& term : terms_) {
-    // Deque block share + the string's own heap allocation.
-    total += sizeof(std::string) + ::microprov::ApproxMemoryUsage(term);
-  }
-  return total;
+  return ApproxMapOverhead(ids_) + term_bytes_;
 }
 
 }  // namespace microprov

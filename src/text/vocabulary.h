@@ -46,6 +46,11 @@ class Vocabulary {
 
   size_t size() const { return terms_.size(); }
 
+  /// Bytes held by the interned strings themselves (deque slot plus any
+  /// heap buffer), kept as a running total by GetOrAdd. O(1).
+  size_t term_bytes() const { return term_bytes_; }
+
+  /// term_bytes() plus the lookup table. O(1).
   size_t ApproxMemoryUsage() const;
 
  private:
@@ -54,6 +59,7 @@ class Vocabulary {
                      std::equal_to<>>
       ids_;
   std::deque<std::string> terms_;
+  size_t term_bytes_ = 0;
 };
 
 }  // namespace microprov

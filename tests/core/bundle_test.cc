@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "storage/bundle_codec.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -9,6 +13,33 @@ namespace {
 
 using testing_util::kTestEpoch;
 using testing_util::MakeMessage;
+
+using WordCounts = std::vector<std::pair<std::string, uint32_t>>;
+
+/// Independent summary-word oracle: every keyword resolved, fully sorted
+/// by (count desc, word asc), then cut to k.
+WordCounts FullSortTopKeywords(const Bundle& bundle, size_t k) {
+  WordCounts all = bundle.ResolvedCounts(IndicantType::kKeyword);
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+/// Adds one message per keyword list (each list within the per-message
+/// summary cap), so the bundle's keyword counts are chosen by the test.
+void AddKeywordMessages(Bundle* bundle,
+                        const std::vector<std::vector<std::string>>& lists) {
+  MessageId id = static_cast<MessageId>(bundle->size()) + 1;
+  for (const auto& keywords : lists) {
+    bundle->AddMessage(MakeMessage(id, kTestEpoch, "u", {}, {}, keywords),
+                       bundle->empty() ? kInvalidMessageId : 1,
+                       ConnectionType::kText, 0);
+    ++id;
+  }
+}
 
 TEST(BundleTest, EmptyBundle) {
   Bundle bundle(1);
@@ -115,6 +146,82 @@ TEST(BundleTest, TopKeywordsTieBreaksLexicographically) {
   auto top = bundle.TopKeywords(10);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].first, "apple");
+}
+
+TEST(BundleTest, TopKeywordsZeroKIsEmpty) {
+  Bundle bundle(1);
+  AddKeywordMessages(&bundle, {{"game", "win"}});
+  EXPECT_TRUE(bundle.TopKeywords(0).empty());
+}
+
+TEST(BundleTest, TopKeywordsKLargerThanVocabularyReturnsAll) {
+  Bundle bundle(1);
+  AddKeywordMessages(&bundle, {{"game", "win", "loss"}, {"win"}});
+  const WordCounts top = bundle.TopKeywords(50);
+  EXPECT_EQ(top, (WordCounts{{"win", 2}, {"game", 1}, {"loss", 1}}));
+  EXPECT_EQ(top, FullSortTopKeywords(bundle, 50));
+}
+
+TEST(BundleTest, TopKeywordsTiesStraddlingKthSlotBreakByWord) {
+  Bundle bundle(1);
+  // alpha 3; echo, delta, charlie, bravo 2 each; zulu 1. The k = 3 cut
+  // falls inside the count-2 tie, which the word order settles.
+  AddKeywordMessages(&bundle, {{"echo", "delta", "alpha", "zulu"},
+                               {"charlie", "bravo", "alpha"},
+                               {"bravo", "charlie", "delta", "echo", "alpha"}});
+  EXPECT_EQ(bundle.TopKeywords(3),
+            (WordCounts{{"alpha", 3}, {"bravo", 2}, {"charlie", 2}}));
+  for (size_t k = 0; k <= 7; ++k) {
+    EXPECT_EQ(bundle.TopKeywords(k), FullSortTopKeywords(bundle, k)) << k;
+  }
+}
+
+TEST(BundleTest, TopKeywordsMatchesFullSortOracle) {
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> word(0, 39);
+  std::uniform_int_distribution<int> per_message(1, 6);
+  for (int trial = 0; trial < 20; ++trial) {
+    Bundle bundle(1);
+    std::vector<std::vector<std::string>> lists;
+    for (int m = 0; m < 30; ++m) {
+      std::vector<std::string> keywords;
+      const int n = per_message(rng);
+      for (int i = 0; i < n; ++i) {
+        keywords.push_back("w" + std::to_string(word(rng) % (trial + 2)));
+      }
+      lists.push_back(std::move(keywords));
+    }
+    AddKeywordMessages(&bundle, lists);
+    for (size_t k : {0, 1, 2, 5, 10, 17, 100}) {
+      EXPECT_EQ(bundle.TopKeywords(k), FullSortTopKeywords(bundle, k))
+          << "trial " << trial << " k " << k;
+    }
+  }
+}
+
+TEST(BundleTest, TopKeywordsOnDecodedArchiveBundle) {
+  // The live bundle shares a dictionary whose ids are offset by earlier
+  // terms; the decoded copy interns into its own private dictionary, so
+  // the two select over different id spaces.
+  IndicantDictionary shared;
+  for (const char* word : {"zeta", "theta", "iota"}) {
+    shared.Intern(IndicantType::kKeyword, word);
+  }
+  Bundle live(9, &shared);
+  AddKeywordMessages(&live, {{"storm", "flood", "river"},
+                             {"flood", "warning"},
+                             {"river", "flood", "storm", "levee"}});
+  std::string encoded;
+  EncodeBundle(live, &encoded);
+  auto decoded_or = DecodeBundle(encoded);
+  ASSERT_TRUE(decoded_or.ok());
+  const Bundle& decoded = **decoded_or;
+  ASSERT_NE(&decoded.dictionary(), &shared);
+  for (size_t k : {0, 1, 3, 10}) {
+    EXPECT_EQ(decoded.TopKeywords(k), live.TopKeywords(k)) << k;
+    EXPECT_EQ(decoded.TopKeywords(k), FullSortTopKeywords(decoded, k)) << k;
+  }
+  EXPECT_EQ(decoded.TopKeywords(2), (WordCounts{{"flood", 3}, {"river", 2}}));
 }
 
 TEST(BundleTest, CloseMarksClosed) {

@@ -37,9 +37,8 @@ Bundle* AddBundle(BundlePool* pool, SummaryIndex* index, size_t n,
     Message msg =
         Tagged(next_mid++, date, "tag" + std::to_string(bundle->id()));
     index->AddMessage(bundle->id(), msg, 6);
-    bundle->AddMessage(msg, i == 0 ? kInvalidMessageId : next_mid - 2,
-                       ConnectionType::kHashtag, 0.5);
-    pool->NoteMessageAdded();
+    pool->AddMessage(bundle, msg, i == 0 ? kInvalidMessageId : next_mid - 2,
+                     ConnectionType::kHashtag, 0.5);
   }
   return bundle;
 }

@@ -32,11 +32,27 @@ Message TextMessage(MessageId id, Timestamp date, const std::string& user,
   return msg;
 }
 
-/// The pre-optimization algorithm, kept verbatim as the oracle: string
-/// candidate lookups, BundleRelevance for every candidate, full
-/// materialization, one partial_sort. Archived ids iterate in ascending
-/// order under the decode cap (the one deliberate behavior change — the
-/// old unordered_set order was nondeterministic past the cap).
+/// Summary words derived independently of Bundle::TopKeywords: every
+/// keyword resolved, fully sorted by (count desc, word asc), first ten.
+std::vector<std::string> ReferenceSummaryWords(const Bundle& bundle) {
+  std::vector<std::pair<std::string, uint32_t>> all =
+      bundle.ResolvedCounts(IndicantType::kKeyword);
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  std::vector<std::string> words;
+  for (size_t i = 0; i < all.size() && i < 10; ++i) {
+    words.push_back(all[i].first);
+  }
+  return words;
+}
+
+/// The pre-optimization algorithm, kept as the oracle: string candidate
+/// lookups, BundleRelevance for every candidate, full materialization,
+/// one partial_sort. Archived ids iterate in ascending order under the
+/// decode cap (the old unordered_set order was nondeterministic past the
+/// cap), and archive lookups use the live path's type mapping.
 std::vector<BundleSearchResult> ReferenceSearch(
     const ProvenanceEngine& engine, const QueryWeights& weights,
     BundleStore* archive, const BundleQuery& query) {
@@ -88,9 +104,7 @@ std::vector<BundleSearchResult> ReferenceSearch(
                                    query.now, weights);
     result.size = bundle.size();
     result.last_post = bundle.end_time();
-    for (auto& [word, count] : bundle.TopKeywords(10)) {
-      result.summary_words.push_back(word);
-    }
+    result.summary_words = ReferenceSummaryWords(bundle);
     result.archived = archived;
     return result;
   };
@@ -102,14 +116,21 @@ std::vector<BundleSearchResult> ReferenceSearch(
   }
   if (archive != nullptr && filters.include_archived) {
     std::set<BundleId> archived_ids;
-    auto collect = [&](const std::string& term) {
-      for (BundleId id : archive->FindByTerm(term)) {
+    auto collect = [&](IndicantType type, const std::string& term) {
+      for (BundleId id : archive->FindByTerm(type, term)) {
         if (candidates.count(id) == 0) archived_ids.insert(id);
       }
     };
-    for (const std::string& term : parsed.keywords) collect(term);
-    for (const std::string& word : parsed.raw_words) collect(word);
-    for (const std::string& tag : parsed.hashtags) collect(tag);
+    for (const std::string& term : parsed.keywords) {
+      collect(IndicantType::kKeyword, term);
+      collect(IndicantType::kHashtag, term);
+    }
+    for (const std::string& word : parsed.raw_words) {
+      collect(IndicantType::kHashtag, word);
+    }
+    for (const std::string& tag : parsed.hashtags) {
+      collect(IndicantType::kHashtag, tag);
+    }
     size_t considered = 0;
     for (BundleId id : archived_ids) {
       if (considered++ >= BundleQueryProcessor::kMaxArchivedCandidates) {

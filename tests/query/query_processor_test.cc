@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -215,6 +217,42 @@ TEST_F(BundleQueryTest, ArchiveCanBeExcludedByFilter) {
   EXPECT_TRUE(
       processor.Search(
           {.text = "#vault", .k = 5, .now = kTestEpoch, .filters = live_only}).empty());
+}
+
+// A #tag query reaches archived bundles that carry the tag, never ones
+// that hold the word only as a keyword; a bare word reaches both, as it
+// does on the live path.
+TEST_F(BundleQueryTest, ArchivedLookupsFollowLiveTypeMapping) {
+  testing_util::ScopedTempDir dir;
+  BundleStore::Options store_options;
+  store_options.dir = dir.path() + "/store";
+  auto store_or = BundleStore::Open(store_options);
+  ASSERT_TRUE(store_or.ok());
+  Bundle worded(801);
+  worded.AddMessage(
+      TextMessage(50, kTestEpoch, "bob", "river quake damage"),
+      kInvalidMessageId, ConnectionType::kText, 0);
+  Bundle tagged(802);
+  tagged.AddMessage(TextMessage(51, kTestEpoch, "eve", "aftershock #quake"),
+                    kInvalidMessageId, ConnectionType::kText, 0);
+  ASSERT_TRUE((*store_or)->Put(worded).ok());
+  ASSERT_TRUE((*store_or)->Put(tagged).ok());
+
+  BundleQueryProcessor processor(&engine_, QueryWeights{},
+                                 store_or->get());
+  auto tag_hits =
+      processor.Search({.text = "#quake", .k = 5, .now = kTestEpoch});
+  ASSERT_EQ(tag_hits.size(), 1u);
+  EXPECT_EQ(tag_hits[0].bundle, 802u);
+  EXPECT_TRUE(tag_hits[0].archived);
+  EXPECT_EQ(tag_hits[0].summary_words,
+            (std::vector<std::string>{"aftershock"}));
+
+  auto word_hits =
+      processor.Search({.text = "quake", .k = 5, .now = kTestEpoch});
+  ASSERT_EQ(word_hits.size(), 2u);
+  EXPECT_EQ(std::min(word_hits[0].bundle, word_hits[1].bundle), 801u);
+  EXPECT_EQ(std::max(word_hits[0].bundle, word_hits[1].bundle), 802u);
 }
 
 TEST_F(BundleQueryTest, FreshBundleRankedAboveStaleOnTie) {

@@ -250,6 +250,64 @@ TEST(ServiceObservabilityTest, SlowQueryAlwaysCapturedAndRoundTrips) {
   EXPECT_EQ(service.Stats().slow_queries, 1u);
 }
 
+// Summary words are materialized once, after the cross-shard merge: one
+// "materialize" span directly under the root, none inside any shard's
+// subtree — in the live trace and in its slow-log JSONL reconstruction.
+TEST(ServiceObservabilityTest, MaterializeRunsOnceUnderRootSpan) {
+  auto service_or = Service::Open({.num_shards = 3,
+                                   .query_trace_capacity = 8,
+                                   .slow_query_nanos = 1});
+  ASSERT_TRUE(service_or.ok());
+  Service& service = **service_or;
+  for (const Message& msg : TopicStream()) {
+    ASSERT_TRUE(service.Ingest(msg).ok());
+  }
+  auto results_or = service.Search({.text = "redsox tsunami", .k = 4});
+  ASSERT_TRUE(results_or.ok());
+  ASSERT_FALSE(results_or->empty());
+
+  auto check_tree = [](const std::vector<obs::SpanRecord>& spans) {
+    auto find = [&](uint32_t id) -> const obs::SpanRecord* {
+      for (const obs::SpanRecord& span : spans) {
+        if (span.id == id) return &span;
+      }
+      return nullptr;
+    };
+    uint32_t root_id = 0;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.parent == 0) root_id = span.id;
+    }
+    ASSERT_GT(root_id, 0u);
+    EXPECT_EQ(find(root_id)->name, "search");
+    int materialize_spans = 0;
+    int shard_spans = 0;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.name == "shard_search") ++shard_spans;
+      if (span.name != "materialize") continue;
+      ++materialize_spans;
+      EXPECT_EQ(span.parent, root_id);
+      // No ancestor is a shard_search.
+      for (const obs::SpanRecord* up = find(span.parent); up != nullptr;
+           up = find(up->parent)) {
+        EXPECT_NE(up->name, "shard_search");
+      }
+    }
+    EXPECT_EQ(materialize_spans, 1);
+    EXPECT_EQ(shard_spans, 3);
+  };
+
+  std::vector<obs::QueryTraceEvent> events =
+      service.query_trace()->SlowSnapshot();
+  ASSERT_EQ(events.size(), 1u);
+  check_tree(events[0].spans);
+
+  auto parsed_or = obs::QueryTraceSink::FromJsonl(service.SlowQueryJsonl());
+  ASSERT_TRUE(parsed_or.ok()) << parsed_or.status().ToString();
+  ASSERT_EQ(parsed_or->size(), 1u);
+  EXPECT_EQ((*parsed_or)[0].spans.size(), events[0].spans.size());
+  check_tree((*parsed_or)[0].spans);
+}
+
 TEST(ServiceObservabilityTest, IngestTraceSampling) {
   auto service_or = Service::Open(
       {.num_shards = 2, .trace_capacity = 64, .trace_sample_every = 2});

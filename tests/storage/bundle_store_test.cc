@@ -203,6 +203,36 @@ TEST_F(BundleStoreTest, FindByTermDedupsRePuts) {
   EXPECT_EQ(store->FindByTerm("tag3"), (std::vector<BundleId>{3}));
 }
 
+TEST_F(BundleStoreTest, FindByTermKeysEntriesByType) {
+  BundleStore::Options options = StoreOptions();
+  Bundle tagged(1);
+  tagged.AddMessage(MakeMessage(1, kTestEpoch, "u", {"quake"}),
+                    kInvalidMessageId, ConnectionType::kText, 0);
+  Bundle worded(2);
+  worded.AddMessage(MakeMessage(2, kTestEpoch, "v", {}, {}, {"quake"}),
+                    kInvalidMessageId, ConnectionType::kText, 0);
+  {
+    auto store_or = BundleStore::Open(options);
+    ASSERT_TRUE(store_or.ok());
+    ASSERT_TRUE((*store_or)->Put(tagged).ok());
+    ASSERT_TRUE((*store_or)->Put(worded).ok());
+    auto& store = *store_or;
+    EXPECT_EQ(store->FindByTerm(IndicantType::kHashtag, "quake"),
+              (std::vector<BundleId>{1}));
+    EXPECT_EQ(store->FindByTerm(IndicantType::kKeyword, "quake"),
+              (std::vector<BundleId>{2}));
+    EXPECT_TRUE(store->FindByTerm(IndicantType::kUrl, "quake").empty());
+    EXPECT_EQ(store->FindByTerm("quake"), (std::vector<BundleId>{1, 2}));
+  }
+  // The recovery rebuild keys entries the same way.
+  auto reopened_or = BundleStore::Open(options);
+  ASSERT_TRUE(reopened_or.ok());
+  EXPECT_EQ((*reopened_or)->FindByTerm(IndicantType::kHashtag, "quake"),
+            (std::vector<BundleId>{1}));
+  EXPECT_EQ((*reopened_or)->FindByTerm(IndicantType::kKeyword, "quake"),
+            (std::vector<BundleId>{2}));
+}
+
 TEST_F(BundleStoreTest, TermIndexCanBeDisabled) {
   BundleStore::Options options = StoreOptions();
   options.enable_term_index = false;
